@@ -210,7 +210,7 @@ func (s *Schedule) QueryRange(arrival int, lo, hi int64, pw Power) ([]int64, Met
 // Measure returns the schedule's exact expected client metrics under the
 // given power model (uniform arrival phase, item popularity ∝ weight).
 func (s *Schedule) Measure(pw Power) (AverageMetrics, error) {
-	sum, err := sim.Evaluate(s.program, pw)
+	sum, err := sim.Evaluate(s.program, pw, sim.Faults{})
 	if err != nil {
 		return AverageMetrics{}, err
 	}

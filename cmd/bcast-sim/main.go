@@ -70,7 +70,7 @@ func run(in string, k int, strategy string, replicate bool, queries int, seed in
 		return err
 	}
 	power := sim.Power{Active: active, Doze: doze}
-	summary, err := sim.Evaluate(prog, power)
+	summary, err := sim.Evaluate(prog, power, sim.Faults{})
 	if err != nil {
 		return err
 	}

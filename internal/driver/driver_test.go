@@ -45,7 +45,7 @@ func TestReplayMeanMatchesEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Evaluate(p, pw)
+	want, err := sim.Evaluate(p, pw, sim.Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"path/filepath"
 
 	"repro/internal/sim"
 )
@@ -342,19 +343,47 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return c, nil
 }
 
-// WriteCheckpoint atomically replaces path with the encoded checkpoint:
-// the bytes land in a temp file first and rename into place, so a crash
-// mid-write leaves the previous checkpoint intact rather than a torn one.
-func WriteCheckpoint(path string, c *Checkpoint) error {
+// WriteCheckpoint atomically and durably replaces path with the encoded
+// checkpoint. The bytes land in a uniquely named temp file in the same
+// directory, are fsynced, and rename into place; the directory is then
+// fsynced so the rename itself survives power loss. A crash at any point
+// leaves either the previous checkpoint or the new one, never a torn
+// file, and concurrent writers to one path never share a temp file. The
+// temp file is removed when any step fails.
+func WriteCheckpoint(path string, c *Checkpoint) (err error) {
 	data, err := EncodeCheckpoint(c)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if _, err = f.Write(data); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // LoadCheckpoint reads and decodes the checkpoint at path. A missing or

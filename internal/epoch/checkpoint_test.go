@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -250,6 +251,59 @@ func TestWriteLoadCheckpoint(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(path); !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("corrupt file: error %v does not wrap ErrCheckpoint", err)
+	}
+}
+
+// TestWriteCheckpointConcurrentWriters: several writers replacing one
+// path at once (two towers sharing a checkpoint file) must each succeed,
+// the surviving file must decode to exactly one of the written
+// checkpoints, and no temp file may be left in the directory.
+func TestWriteCheckpointConcurrentWriters(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "station.ckpt")
+	const writers = 8
+	written := make([]*Checkpoint, writers)
+	errs := make(chan error, writers)
+	var wg sync.WaitGroup
+	for i := range written {
+		c := testCheckpoint(i%2 == 0)
+		c.Now = 18 + 6*i
+		written[i] = c
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				if err := WriteCheckpoint(path, c); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("concurrent write failed: %v", err)
+	}
+	got, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := (got.Now - 18) / 6
+	if i < 0 || i >= writers || got.Now != written[i].Now {
+		t.Fatalf("final checkpoint Now=%d was never written", got.Now)
+	}
+	sameCheckpoint(t, written[i], got)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "station.ckpt" {
+		names := make([]string, len(ents))
+		for j, e := range ents {
+			names[j] = e.Name()
+		}
+		t.Fatalf("directory holds %v, want only station.ckpt", names)
 	}
 }
 

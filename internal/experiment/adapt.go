@@ -182,9 +182,9 @@ func adaptCell(cfg AdaptConfig, kind workload.DriftKind, cadence int) (AdaptRow,
 		}
 	}
 
-	fc := sim.FaultConfig{MaxRetries: cfg.MaxRetries}
+	f := sim.Faults{MaxRetries: cfg.MaxRetries}
 	if cfg.Rate > 0 {
-		fc.Model = fault.Model{Seed: cfg.Seed + 1, Drop: 0.7 * cfg.Rate, Corrupt: 0.3 * cfg.Rate}
+		f.Model = fault.Model{Seed: cfg.Seed + 1, Drop: 0.7 * cfg.Rate, Corrupt: 0.3 * cfg.Rate}
 	}
 	// Evaluate each period's window under that period's true demand; the
 	// windows are equal-length, so averaging them equally is the exact
@@ -195,10 +195,14 @@ func adaptCell(cfg AdaptConfig, kind workload.DriftKind, cadence int) (AdaptRow,
 		for i, it := range demand[t] {
 			dem[i] = sim.Demand{Key: it.Key, Weight: it.Weight}
 		}
-		s, hit, err := sim.EvaluateAdaptive(tl, t*cfg.PeriodSlots, (t+1)*cfg.PeriodSlots, dem, cfg.Power, fc)
+		r, err := sim.EvaluateTimeline(tl, t*cfg.PeriodSlots, (t+1)*cfg.PeriodSlots, dem, cfg.Power, f)
 		if err != nil {
 			return row, fmt.Errorf("period %d: %w", t, err)
 		}
+		if r.Availability < 1 {
+			return row, fmt.Errorf("period %d: %w", t, fault.ErrRetryBudget)
+		}
+		s := r.Summary
 		row.Summary.ProbeWait += s.ProbeWait / periods
 		row.Summary.DataWait += s.DataWait / periods
 		row.Summary.AccessTime += s.AccessTime / periods
@@ -206,7 +210,7 @@ func adaptCell(cfg AdaptConfig, kind workload.DriftKind, cadence int) (AdaptRow,
 		row.Summary.Energy += s.Energy / periods
 		row.Summary.Retries += s.Retries / periods
 		row.Summary.Restarts += s.Restarts / periods
-		row.HitRate += hit / periods
+		row.HitRate += r.HitRate / periods
 	}
 	return row, nil
 }

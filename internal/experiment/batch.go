@@ -135,15 +135,15 @@ func BatchSweep(cfg BatchConfig) ([]BatchPoint, error) {
 			if err != nil {
 				return acc{}, err
 			}
-			mExact, err := prog.QueryBatch(exact, cfg.Power, sim.FaultConfig{})
+			mExact, err := prog.QueryBatch(exact, cfg.Power, sim.Faults{})
 			if err != nil {
 				return acc{}, err
 			}
-			mGreedy, err := prog.QueryBatch(greedy, cfg.Power, sim.FaultConfig{})
+			mGreedy, err := prog.QueryBatch(greedy, cfg.Power, sim.Faults{})
 			if err != nil {
 				return acc{}, err
 			}
-			mSeq, err := retrieval.SequentialBaseline(prog, arrival, targets, cfg.Power, sim.FaultConfig{})
+			mSeq, err := retrieval.SequentialBaseline(prog, arrival, targets, cfg.Power, sim.Faults{})
 			if err != nil {
 				return acc{}, err
 			}

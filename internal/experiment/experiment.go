@@ -616,7 +616,7 @@ func SimComparison(cfg SimComparisonConfig) ([]SimRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := sim.Evaluate(p, cfg.Power)
+		s, err := sim.Evaluate(p, cfg.Power, sim.Faults{})
 		if err != nil {
 			return nil, err
 		}

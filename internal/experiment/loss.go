@@ -90,7 +90,7 @@ func LossSweep(cfg LossConfig) ([]LossRow, error) {
 		}
 		out := make([]sim.Summary, len(cfg.Rates))
 		for ri, rate := range cfg.Rates {
-			fc := sim.FaultConfig{
+			f := sim.Faults{
 				Model: fault.Model{
 					Seed:    cfg.Seed + int64(trial)*104729 + int64(ri)*7919 + 1,
 					Drop:    0.7 * rate,
@@ -98,7 +98,7 @@ func LossSweep(cfg LossConfig) ([]LossRow, error) {
 				},
 				MaxRetries: cfg.MaxRetries,
 			}
-			s, err := sim.EvaluateFaulty(prog, cfg.Power, fc)
+			s, err := sim.Evaluate(prog, cfg.Power, f)
 			if err != nil {
 				return nil, fmt.Errorf("trial %d rate %.2f: %w", trial, rate, err)
 			}

@@ -83,11 +83,11 @@ func ReplicationSweep(cfg ReplicationConfig) ([]ReplicationRow, error) {
 				copies++
 			}
 		}
-		plain, err := sim.Evaluate(plainProg, cfg.Power)
+		plain, err := sim.Evaluate(plainProg, cfg.Power, sim.Faults{})
 		if err != nil {
 			return nil, err
 		}
-		repl, err := sim.Evaluate(replProg, cfg.Power)
+		repl, err := sim.Evaluate(replProg, cfg.Power, sim.Faults{})
 		if err != nil {
 			return nil, err
 		}

@@ -112,7 +112,7 @@ func measureTree(t *tree.Tree, channels int, pw sim.Power) (sim.Summary, error) 
 	if err != nil {
 		return sim.Summary{}, err
 	}
-	return sim.Evaluate(p, pw)
+	return sim.Evaluate(p, pw, sim.Faults{})
 }
 
 // RenderTreeShape writes the A5 table.

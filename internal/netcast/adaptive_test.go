@@ -93,7 +93,7 @@ func TestAdaptiveLookupMatchesTimeline(t *testing.T) {
 			if out.err != nil {
 				t.Fatalf("arrival %d key %d: %v", arrival, key, out.err)
 			}
-			wantM, wantFound, wantErr := tl.QuerySwitch(arrival, key, pw, sim.FaultConfig{})
+			wantM, wantFound, wantErr := tl.Query(arrival, key, pw, sim.Faults{})
 			if wantErr != nil {
 				t.Fatalf("arrival %d key %d: sim: %v", arrival, key, wantErr)
 			}
@@ -133,7 +133,7 @@ func TestAdaptiveLookupFaultyMatchesTimeline(t *testing.T) {
 
 	model := fault.Model{Seed: 11, Drop: 0.18, Corrupt: 0.07}
 	const budget = 4
-	fc := sim.FaultConfig{Model: model, MaxRetries: budget}
+	fc := sim.Faults{Model: model, MaxRetries: budget}
 	opts := ServerOptions{Faults: model}
 
 	var sawRetryAndRestart, sawBudget bool
@@ -143,7 +143,7 @@ func TestAdaptiveLookupFaultyMatchesTimeline(t *testing.T) {
 				found, _, m, err := c.Lookup(arrival, key, pw)
 				return adaptiveOutcome{found: found, m: m, err: err}
 			})
-			wantM, wantFound, wantErr := tl.QuerySwitch(arrival, key, pw, fc)
+			wantM, wantFound, wantErr := tl.Query(arrival, key, pw, fc)
 			if (out.err == nil) != (wantErr == nil) {
 				t.Fatalf("arrival %d key %d: net err %v, sim err %v", arrival, key, out.err, wantErr)
 			}
@@ -198,7 +198,7 @@ func TestAdaptiveRangeMatchesTimeline(t *testing.T) {
 		if out.err != nil {
 			t.Fatalf("arrival %d: %v", arrival, out.err)
 		}
-		want, err := tl.QueryRangeSwitch(arrival, 3, 7, pw, sim.FaultConfig{})
+		want, err := tl.QueryRange(arrival, 3, 7, pw, sim.Faults{})
 		if err != nil {
 			t.Fatalf("arrival %d: sim: %v", arrival, err)
 		}

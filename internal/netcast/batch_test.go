@@ -60,7 +60,7 @@ func TestReadBatchMatchesSimulator(t *testing.T) {
 		{Seed: 13, Drop: 0.15, Corrupt: 0.1, Stall: 0.2},
 	}
 	for _, model := range models {
-		fc := sim.FaultConfig{Model: model, MaxRetries: budget}
+		fc := sim.Faults{Model: model, MaxRetries: budget}
 		var live []sim.Metrics
 		for arrival := 0; arrival < p.CycleLen(); arrival++ {
 			plan, err := planner.PlanBatch(p, arrival, targets)
@@ -109,7 +109,7 @@ func TestReadBatchConflictRun(t *testing.T) {
 		if plan.Conflicts == 0 {
 			continue
 		}
-		want, err := p.QueryBatch(plan, pw, sim.FaultConfig{})
+		want, err := p.QueryBatch(plan, pw, sim.Faults{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestReadBatchBudgetExhausted(t *testing.T) {
 	}
 	model := fault.Model{Seed: 5, Drop: 1}
 	const budget = 4
-	want, werr := p.QueryBatch(plan, pw, sim.FaultConfig{Model: model, MaxRetries: budget})
+	want, werr := p.QueryBatch(plan, pw, sim.Faults{Model: model, MaxRetries: budget})
 	if !errors.Is(werr, fault.ErrRetryBudget) {
 		t.Fatalf("sim err = %v, want ErrRetryBudget", werr)
 	}

@@ -56,7 +56,7 @@ func TestFaultyLookupMatchesSimulator(t *testing.T) {
 	}
 	const retries = 64
 	for _, model := range models {
-		fc := sim.FaultConfig{Model: model, MaxRetries: retries}
+		fc := sim.Faults{Model: model, MaxRetries: retries}
 		for _, d := range tr.DataIDs() {
 			key, _ := tr.Key(d)
 			for arrival := 0; arrival < p.CycleLen(); arrival += 3 {
@@ -86,9 +86,9 @@ func TestFaultyRangeMatchesSimulator(t *testing.T) {
 	model := fault.Model{Seed: 31, Drop: 0.2, Corrupt: 0.05}
 	const retries = 256
 	p := compiled(t, 9, 2, 22, false)
-	fc := sim.FaultConfig{Model: model, MaxRetries: retries}
+	fc := sim.Faults{Model: model, MaxRetries: retries}
 	for _, rg := range [][2]int64{{1, 9}, {2, 6}, {5, 5}} {
-		want, err := p.QueryRangeFaulty(1, rg[0], rg[1], pw, fc)
+		want, err := air(t, p).QueryRange(1, rg[0], rg[1], pw, fc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func TestFaultyConnDetachSkipsPairing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	fc := sim.FaultConfig{Model: model, MaxRetries: 64}
+	fc := sim.Faults{Model: model, MaxRetries: 64}
 
 	for round := 0; round < 2; round++ {
 		c := pipeClient(t, s)

@@ -1,6 +1,7 @@
 package netcast
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -33,6 +34,16 @@ func compiled(t testing.TB, n, k int, seed int64, copies bool) *sim.Program {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// air is the single-epoch analytic timeline of a static program.
+func air(t testing.TB, p *sim.Program) *sim.Timeline {
+	t.Helper()
+	tl, err := sim.NewTimeline(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl
 }
 
 // pipeClient attaches a client over an in-memory pipe.
@@ -372,5 +383,52 @@ func TestRangeLookupInvalidRange(t *testing.T) {
 	defer c.Close()
 	if _, _, err := c.LookupRange(0, 9, 3, pw); err == nil {
 		t.Fatal("want error for inverted range")
+	}
+}
+
+// TestRemappedProgramMatchesSimulator pins the root-channel redirect for
+// point and range lookups on a program remapped off channel 1 — the
+// layout every survivor replan that darkens channel 1 puts on the air.
+// Both the tower client and the analytic twin must follow the
+// RootChannel stamp from the dark channel to the root, and agree on
+// found keys and metrics for every arrival phase.
+func TestRemappedProgramMatchesSimulator(t *testing.T) {
+	remapped := func() *sim.Program {
+		p, err := compiled(t, 9, 2, 10, false).Remap([]int{2, 3}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p := remapped()
+	for arrival := 0; arrival < p.CycleLen(); arrival++ {
+		for key := int64(1); key <= 10; key++ {
+			found, m := runLookup(t, remapped(), arrival, key)
+			wantM, wantFound, err := p.QueryKey(arrival, key, pw)
+			if err != nil {
+				t.Fatalf("sim key %d arrival %d: %v", key, arrival, err)
+			}
+			if found != wantFound || m != wantM {
+				t.Fatalf("key %d arrival %d: net found=%v %+v, sim found=%v %+v",
+					key, arrival, found, m, wantFound, wantM)
+			}
+			if found != (key <= 9) {
+				t.Fatalf("key %d arrival %d: found=%v", key, arrival, found)
+			}
+		}
+		for _, rg := range [][2]int64{{1, 9}, {3, 5}, {7, 7}, {20, 30}} {
+			keys, m := runRange(t, remapped(), arrival, rg[0], rg[1])
+			want, err := p.QueryRange(arrival, rg[0], rg[1], pw)
+			if err != nil {
+				t.Fatalf("sim range %v arrival %d: %v", rg, arrival, err)
+			}
+			if fmt.Sprint(keys) != fmt.Sprint(want.Keys) || m != want.Metrics {
+				t.Fatalf("range %v arrival %d: net %v %+v, sim %v %+v",
+					rg, arrival, keys, m, want.Keys, want.Metrics)
+			}
+			if n := int(min(rg[1], 9) - rg[0] + 1); len(keys) != max(n, 0) {
+				t.Fatalf("range %v arrival %d: got keys %v", rg, arrival, keys)
+			}
+		}
 	}
 }

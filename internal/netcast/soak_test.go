@@ -95,7 +95,7 @@ func TestSpanHistoryBoundedSoak(t *testing.T) {
 		if out.err != nil {
 			t.Fatalf("swap %d: lookup: %v", i, out.err)
 		}
-		wantM, wantFound, wantErr := tl.QuerySwitch(arrival, key, pw, sim.FaultConfig{})
+		wantM, wantFound, wantErr := tl.Query(arrival, key, pw, sim.Faults{})
 		if wantErr != nil {
 			t.Fatalf("swap %d: timeline: %v", i, wantErr)
 		}

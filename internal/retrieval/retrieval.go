@@ -432,7 +432,7 @@ func (pl *Planner) planGreedy(p *sim.Program, arrival int, targets []tree.ID) (*
 // plan, each leg draws on a fresh retry budget — the baseline models K
 // independent queries, not one session. The summed metrics are what A11
 // compares the planners against.
-func SequentialBaseline(p *sim.Program, arrival int, targets []tree.ID, pw sim.Power, fc sim.FaultConfig) (sim.Metrics, error) {
+func SequentialBaseline(p *sim.Program, arrival int, targets []tree.ID, pw sim.Power, f sim.Faults) (sim.Metrics, error) {
 	if err := validate(p, arrival, targets); err != nil {
 		return sim.Metrics{}, err
 	}
@@ -448,7 +448,7 @@ func SequentialBaseline(p *sim.Program, arrival int, targets []tree.ID, pw sim.P
 	var agg sim.Metrics
 	at := arrival
 	for i, id := range order {
-		m, err := p.QueryFaulty(at, id, pw, fc)
+		m, err := p.QueryFaulty(at, id, pw, f)
 		if err != nil {
 			return agg, fmt.Errorf("retrieval: baseline leg %d: %w", i, err)
 		}
@@ -460,6 +460,7 @@ func SequentialBaseline(p *sim.Program, arrival int, targets []tree.ID, pw sim.P
 		agg.Retries += m.Retries
 		agg.Restarts += m.Restarts
 		agg.Failovers += m.Failovers
+		agg.Reconnects += m.Reconnects
 		agg.Energy += m.Energy
 		at += m.AccessTime
 	}

@@ -77,7 +77,7 @@ func TestExactNeverWorseThanGreedy(t *testing.T) {
 							k, seed, K, arrival, exact.Makespan(), greedy.Makespan())
 					}
 					for name, plan := range map[string]*sim.BatchPlan{"exact": exact, "greedy": greedy} {
-						m, err := p.QueryBatch(plan, testPower, sim.FaultConfig{})
+						m, err := p.QueryBatch(plan, testPower, sim.Faults{})
 						if err != nil {
 							t.Fatalf("%s query: %v", name, err)
 						}
@@ -113,11 +113,11 @@ func TestGreedyNeverWorseThanSequential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					m, err := p.QueryBatch(plan, testPower, sim.FaultConfig{})
+					m, err := p.QueryBatch(plan, testPower, sim.Faults{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					base, err := SequentialBaseline(p, arrival, targets, testPower, sim.FaultConfig{})
+					base, err := SequentialBaseline(p, arrival, targets, testPower, sim.Faults{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -244,7 +244,7 @@ func TestMultiAntenna(t *testing.T) {
 		if two.Makespan() > one.Makespan() {
 			t.Errorf("seed %d: two antennas makespan %d > one antenna %d", seed, two.Makespan(), one.Makespan())
 		}
-		if _, err := p.QueryBatch(two, testPower, sim.FaultConfig{}); err != nil {
+		if _, err := p.QueryBatch(two, testPower, sim.Faults{}); err != nil {
 			t.Fatalf("seed %d: two-antenna plan does not execute: %v", seed, err)
 		}
 	}
@@ -280,7 +280,7 @@ func TestLossyExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := sim.FaultConfig{Model: fault.Model{Seed: 11, Drop: 0.25, Corrupt: 0.1}}
+	fc := sim.Faults{Model: fault.Model{Seed: 11, Drop: 0.25, Corrupt: 0.1}}
 	m, err := p.QueryBatch(plan, testPower, fc)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestLossyExecution(t *testing.T) {
 	if m.TuningTime != len(targets)+m.Retries {
 		t.Errorf("tuning %d != %d reads + %d retries", m.TuningTime, len(targets), m.Retries)
 	}
-	perfect, err := p.QueryBatch(plan, testPower, sim.FaultConfig{})
+	perfect, err := p.QueryBatch(plan, testPower, sim.Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestValidationErrors(t *testing.T) {
 		if _, err := pl.PlanBatch(p, c.arrival, c.targets); err == nil {
 			t.Errorf("%s: want error", c.name)
 		}
-		if _, err := SequentialBaseline(p, c.arrival, c.targets, testPower, sim.FaultConfig{}); err == nil {
+		if _, err := SequentialBaseline(p, c.arrival, c.targets, testPower, sim.Faults{}); err == nil {
 			t.Errorf("%s: baseline want error", c.name)
 		}
 	}
@@ -384,7 +384,7 @@ func TestBudgetExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := sim.FaultConfig{Model: fault.Model{Seed: 3, Drop: 1}, MaxRetries: 4}
+	fc := sim.Faults{Model: fault.Model{Seed: 3, Drop: 1}, MaxRetries: 4}
 	m, err := p.QueryBatch(plan, testPower, fc)
 	if !errors.Is(err, fault.ErrRetryBudget) {
 		t.Fatalf("err = %v, want ErrRetryBudget", err)

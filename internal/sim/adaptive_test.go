@@ -40,6 +40,27 @@ func keyedProgramOpt(t *testing.T, n, k int, seed, keyBase int64, opt Options) *
 	return p
 }
 
+// static is the single-epoch timeline airing p.
+func static(t *testing.T, p *Program) *Timeline {
+	t.Helper()
+	tl, err := NewTimeline(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl
+}
+
+// treeDemand is the demand equal to the tree's own item weights.
+func treeDemand(p *Program) []Demand {
+	tr := p.Tree()
+	var demand []Demand
+	for _, d := range tr.DataIDs() {
+		k, _ := tr.Key(d)
+		demand = append(demand, Demand{Key: k, Weight: tr.Weight(d)})
+	}
+	return demand
+}
+
 func TestTimelineAppend(t *testing.T) {
 	p1 := keyedProgram(t, 10, 2, 1)
 	p2 := keyedProgram(t, 10, 2, 2)
@@ -90,31 +111,34 @@ func TestTimelineAppend(t *testing.T) {
 	}
 }
 
-// TestQuerySwitchStaticMatchesQueryKey: on a single-epoch timeline the
-// adaptive client pays exactly what the static client pays, including
-// under faults — the restart machinery is free when no swap happens.
+// TestQuerySwitchStaticMatchesQueryKey: a timeline whose next epoch
+// airs long after every descent has finished costs exactly what the
+// static program costs under the same faults — the restart machinery is
+// free when no swap is observed.
 func TestQuerySwitchStaticMatchesQueryKey(t *testing.T) {
 	p := keyedProgram(t, 12, 2, 7)
-	tl, err := NewTimeline(p, 1)
-	if err != nil {
+	tl := static(t, p)
+	if _, err := tl.Append(p, 2, 1000*p.CycleLen()); err != nil {
 		t.Fatal(err)
 	}
-	fc := FaultConfig{Model: fault.Model{Seed: 99, Drop: 0.1, Corrupt: 0.05}}
+	fc := Faults{Model: fault.Model{Seed: 99, Drop: 0.1, Corrupt: 0.05}}
+	tr := p.Tree()
 	for a := 0; a < p.CycleLen(); a++ {
-		for key := int64(0); key <= 13; key++ {
-			got, gFound, gErr := tl.QuerySwitch(a, key, testPower, fc)
-			want, wFound, wErr := p.QueryKeyFaulty(a, key, testPower, fc)
+		for _, d := range tr.DataIDs() {
+			key, _ := tr.Key(d)
+			got, gFound, gErr := tl.Query(a, key, testPower, fc)
+			want, wErr := p.QueryFaulty(a, d, testPower, fc)
 			if (gErr == nil) != (wErr == nil) {
 				t.Fatalf("arrival %d key %d: err %v vs %v", a, key, gErr, wErr)
 			}
 			if gErr != nil {
 				continue
 			}
-			if got != want || gFound != wFound {
-				t.Fatalf("arrival %d key %d: %+v/%v vs %+v/%v", a, key, got, gFound, want, wFound)
+			if got != want || !gFound {
+				t.Fatalf("arrival %d key %d: %+v/%v vs %+v", a, key, got, gFound, want)
 			}
 			if got.Restarts != 0 {
-				t.Fatalf("arrival %d key %d: %d restarts on a static timeline", a, key, got.Restarts)
+				t.Fatalf("arrival %d key %d: %d restarts before the swap", a, key, got.Restarts)
 			}
 		}
 	}
@@ -143,7 +167,7 @@ func TestQuerySwitchAcrossSwap(t *testing.T) {
 	for a := 0; a < swap+2*p2.CycleLen(); a++ {
 		for key := int64(1); key <= 10; key++ {
 			// Old-catalog keys: found iff the descent completed in epoch 1.
-			m, found, err := tl.QuerySwitch(a, key, testPower, FaultConfig{})
+			m, found, err := tl.Query(a, key, testPower, Faults{})
 			if err != nil {
 				t.Fatalf("arrival %d key %d: %v", a, key, err)
 			}
@@ -159,7 +183,7 @@ func TestQuerySwitchAcrossSwap(t *testing.T) {
 			}
 		}
 		// New-catalog keys are served by every descent landing in epoch 2.
-		m, found, err := tl.QuerySwitch(a, 105, testPower, FaultConfig{})
+		m, found, err := tl.Query(a, 105, testPower, Faults{})
 		if err != nil {
 			t.Fatalf("arrival %d: %v", a, err)
 		}
@@ -191,11 +215,11 @@ func TestQuerySwitchRestartBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fc := FaultConfig{Model: fault.Model{Seed: 5, Drop: 0.25}, MaxRetries: 2}
+	fc := Faults{Model: fault.Model{Seed: 5, Drop: 0.25}, MaxRetries: 2}
 	sawBudget, sawRestart := false, false
 	for a := 0; a < L; a++ {
 		for key := int64(1); key <= 10; key++ {
-			m, _, err := tl.QuerySwitch(a, key, testPower, fc)
+			m, _, err := tl.Query(a, key, testPower, fc)
 			if err != nil {
 				if !errors.Is(err, fault.ErrRetryBudget) {
 					t.Fatalf("arrival %d key %d: %v", a, key, err)
@@ -236,7 +260,7 @@ func TestQueryRangeSwitchAcrossSwap(t *testing.T) {
 	want := []int64{3, 4, 5, 6, 7}
 	restarts := 0
 	for a := 0; a < swap+p2.CycleLen(); a++ {
-		res, err := tl.QueryRangeSwitch(a, 3, 7, testPower, FaultConfig{})
+		res, err := tl.QueryRange(a, 3, 7, testPower, Faults{})
 		if err != nil {
 			t.Fatalf("arrival %d: %v", a, err)
 		}
@@ -265,17 +289,13 @@ func TestEvaluateAdaptiveStaticAnchor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := p.Tree()
-	var demand []Demand
-	for _, d := range tr.DataIDs() {
-		k, _ := tr.Key(d)
-		demand = append(demand, Demand{Key: k, Weight: tr.Weight(d)})
-	}
-	got, hit, err := EvaluateAdaptive(tl, 0, p.CycleLen(), demand, testPower, FaultConfig{})
+	demand := treeDemand(p)
+	r, err := EvaluateTimeline(tl, 0, p.CycleLen(), demand, testPower, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Evaluate(p, testPower)
+	got, hit := r.Summary, r.HitRate
+	want, err := Evaluate(p, testPower, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,12 +318,12 @@ func TestEvaluateAdaptiveStaticAnchor(t *testing.T) {
 	}
 
 	// Demand for an absent key drags the hit rate below 1.
-	_, hit2, err := EvaluateAdaptive(tl, 0, p.CycleLen(),
-		append(demand, Demand{Key: 999, Weight: 50}), testPower, FaultConfig{})
+	r2, err := EvaluateTimeline(tl, 0, p.CycleLen(),
+		append(demand, Demand{Key: 999, Weight: 50}), testPower, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit2 >= 1 {
-		t.Fatalf("hit rate %v with absent-key demand", hit2)
+	if r2.HitRate >= 1 {
+		t.Fatalf("hit rate %v with absent-key demand", r2.HitRate)
 	}
 }

@@ -10,20 +10,23 @@ import (
 // faultPw is the power model used throughout the lossy-channel tests.
 var faultPw = Power{Active: 1, Doze: 0.05}
 
+// TestQueryFaultyZeroModelMatchesQuery: a seeded model with zero loss
+// rates is a perfect channel — the seed alone never costs a wake-up.
 func TestQueryFaultyZeroModelMatchesQuery(t *testing.T) {
 	p := keyedProgram(t, 8, 2, 1)
+	seeded := Faults{Model: fault.Model{Seed: 42}, DeadAir: DefaultDeadAir}
 	for _, d := range p.Tree().DataIDs() {
 		for a := 0; a < p.CycleLen(); a++ {
 			want, err := p.Query(a, d, faultPw)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := p.QueryFaulty(a, d, faultPw, FaultConfig{})
+			got, err := p.QueryFaulty(a, d, faultPw, seeded)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Fatalf("zero model diverged: %+v != %+v", got, want)
+				t.Fatalf("zero-rate model diverged: %+v != %+v", got, want)
 			}
 			if got.Retries != 0 {
 				t.Fatalf("retries on a perfect channel: %+v", got)
@@ -34,7 +37,7 @@ func TestQueryFaultyZeroModelMatchesQuery(t *testing.T) {
 
 func TestQueryFaultyDeterministic(t *testing.T) {
 	p := keyedProgram(t, 8, 2, 2)
-	fc := FaultConfig{Model: fault.Model{Seed: 9, Drop: 0.2, Corrupt: 0.1}}
+	fc := Faults{Model: fault.Model{Seed: 9, Drop: 0.2, Corrupt: 0.1}}
 	d := p.Tree().DataIDs()[3]
 	a, err := p.QueryFaulty(1, d, faultPw, fc)
 	if err != nil {
@@ -54,7 +57,7 @@ func TestQueryFaultyDeterministic(t *testing.T) {
 // whole cycles of access time.
 func TestQueryFaultyDegradesMonotonically(t *testing.T) {
 	p := keyedProgram(t, 9, 2, 3)
-	fc := FaultConfig{Model: fault.Model{Seed: 4, Drop: 0.25, Corrupt: 0.1}}
+	fc := Faults{Model: fault.Model{Seed: 4, Drop: 0.25, Corrupt: 0.1}}
 	totalRetries := 0
 	for _, d := range p.Tree().DataIDs() {
 		for a := 0; a < p.CycleLen(); a++ {
@@ -89,7 +92,7 @@ func TestQueryFaultyDegradesMonotonically(t *testing.T) {
 
 func TestQueryFaultyBudgetExhausted(t *testing.T) {
 	p := keyedProgram(t, 6, 1, 5)
-	fc := FaultConfig{Model: fault.Model{Seed: 1, Drop: 1}, MaxRetries: 3}
+	fc := Faults{Model: fault.Model{Seed: 1, Drop: 1}, MaxRetries: 3}
 	_, err := p.QueryFaulty(0, p.Tree().DataIDs()[0], faultPw, fc)
 	if !errors.Is(err, fault.ErrRetryBudget) {
 		t.Fatalf("want ErrRetryBudget, got %v", err)
@@ -98,11 +101,11 @@ func TestQueryFaultyBudgetExhausted(t *testing.T) {
 
 func TestEvaluateFaulty(t *testing.T) {
 	p := keyedProgram(t, 8, 2, 6)
-	perfect, err := Evaluate(p, faultPw)
+	perfect, err := Evaluate(p, faultPw, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossy, err := EvaluateFaulty(p, faultPw, FaultConfig{
+	lossy, err := Evaluate(p, faultPw, Faults{
 		Model: fault.Model{Seed: 2, Drop: 0.15, Corrupt: 0.15},
 	})
 	if err != nil {
@@ -123,12 +126,12 @@ func TestEvaluateFaulty(t *testing.T) {
 // loses results — the retrieved key set matches the perfect scan.
 func TestQueryRangeFaultyCompleteness(t *testing.T) {
 	p := keyedProgram(t, 10, 2, 7)
-	fc := FaultConfig{Model: fault.Model{Seed: 3, Drop: 0.2}, MaxRetries: 256}
+	fc := Faults{Model: fault.Model{Seed: 3, Drop: 0.2}, MaxRetries: 256}
 	perfect, err := p.QueryRange(1, 2, 9, faultPw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossy, err := p.QueryRangeFaulty(1, 2, 9, faultPw, fc)
+	lossy, err := static(t, p).QueryRange(1, 2, 9, faultPw, fc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +154,8 @@ func TestQueryRangeFaultyCompleteness(t *testing.T) {
 
 func TestQueryRangeFaultyBudget(t *testing.T) {
 	p := keyedProgram(t, 6, 1, 8)
-	fc := FaultConfig{Model: fault.Model{Seed: 1, Drop: 1}, MaxRetries: 4}
-	_, err := p.QueryRangeFaulty(0, 1, 6, faultPw, fc)
+	fc := Faults{Model: fault.Model{Seed: 1, Drop: 1}, MaxRetries: 4}
+	_, err := static(t, p).QueryRange(0, 1, 6, faultPw, fc)
 	if !errors.Is(err, fault.ErrRetryBudget) {
 		t.Fatalf("want ErrRetryBudget, got %v", err)
 	}

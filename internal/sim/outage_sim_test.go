@@ -77,10 +77,10 @@ func TestRemapDiscovery(t *testing.T) {
 			}
 		}
 	}
-	var oc OutageConfig
+	var oc Faults
 	for a := 0; a < p.CycleLen(); a++ {
 		for key := int64(0); key <= 13; key++ {
-			m, found, err := p.QueryOutage(a, key, testPower, oc)
+			m, found, err := static(t, p).Query(a, key, testPower, oc)
 			if err != nil {
 				t.Fatalf("arrival %d key %d: %v", a, key, err)
 			}
@@ -98,30 +98,33 @@ func TestRemapDiscovery(t *testing.T) {
 	}
 }
 
-// TestQueryOutageDisabledMatchesQuerySwitch: with failover disabled and
-// no outage schedule the outage client is byte-identical to the adaptive
-// client under any lossy model — the failover machinery costs nothing
-// when off.
+// TestQueryOutageDisabledMatchesQuerySwitch: failover is off for every
+// DeadAir ≤ 0, the netcast.Client encoding — zero and negative
+// thresholds give byte-identical lookups under a lossy model and a root
+// outage long enough to trip any armed detector, and never fail over.
 func TestQueryOutageDisabledMatchesQuerySwitch(t *testing.T) {
 	p := keyedProgram(t, 12, 2, 7)
-	tl, err := NewTimeline(p, 1)
-	if err != nil {
-		t.Fatal(err)
+	tl := static(t, p)
+	L := p.CycleLen()
+	zero := Faults{
+		Model:      fault.Model{Seed: 99, Drop: 0.1, Corrupt: 0.05},
+		Outages:    fault.Outages{{Channel: 1, StartSlot: L, EndSlot: 4 * L}},
+		MaxRetries: 64,
 	}
-	fc := FaultConfig{Model: fault.Model{Seed: 99, Drop: 0.1, Corrupt: 0.05}}
-	oc := OutageConfig{Model: fc.Model, DeadAir: -1}
-	for a := 0; a < p.CycleLen(); a++ {
+	negative := zero
+	negative.DeadAir = -1
+	for a := 0; a < 2*L; a++ {
 		for key := int64(0); key <= 13; key++ {
-			got, gFound, gErr := tl.QueryOutage(a, key, testPower, oc)
-			want, wFound, wErr := tl.QuerySwitch(a, key, testPower, fc)
+			got, gFound, gErr := tl.Query(a, key, testPower, negative)
+			want, wFound, wErr := tl.Query(a, key, testPower, zero)
 			if (gErr == nil) != (wErr == nil) {
 				t.Fatalf("arrival %d key %d: err %v vs %v", a, key, gErr, wErr)
 			}
-			if gErr != nil {
-				continue
-			}
 			if got != want || gFound != wFound {
 				t.Fatalf("arrival %d key %d: %+v/%v vs %+v/%v", a, key, got, gFound, want, wFound)
+			}
+			if got.Failovers != 0 {
+				t.Fatalf("arrival %d key %d: failed over with failover disabled: %+v", a, key, got)
 			}
 		}
 	}
@@ -135,8 +138,8 @@ func TestQueryOutageRidesOutShortWindow(t *testing.T) {
 	p := keyedProgram(t, 12, 2, 11)
 	L := p.CycleLen()
 
-	short := OutageConfig{Outages: fault.Outages{{Channel: 1, StartSlot: 0, EndSlot: 2 * L}}}
-	m, found, err := p.QueryOutage(0, 5, testPower, short)
+	short := Faults{Outages: fault.Outages{{Channel: 1, StartSlot: 0, EndSlot: 2 * L}}, DeadAir: DefaultDeadAir}
+	m, found, err := static(t, p).Query(0, 5, testPower, short)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +147,8 @@ func TestQueryOutageRidesOutShortWindow(t *testing.T) {
 		t.Fatalf("short window: %+v found=%v, want retries only", m, found)
 	}
 
-	long := OutageConfig{Outages: fault.Outages{{Channel: 1, StartSlot: 0, EndSlot: 3*L + 1}}}
-	m, found, err = p.QueryOutage(0, 5, testPower, long)
+	long := Faults{Outages: fault.Outages{{Channel: 1, StartSlot: 0, EndSlot: 3*L + 1}}, DeadAir: DefaultDeadAir}
+	m, found, err = static(t, p).Query(0, 5, testPower, long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +159,7 @@ func TestQueryOutageRidesOutShortWindow(t *testing.T) {
 	// A starved budget turns the same window into a terminal failure.
 	starved := long
 	starved.MaxRetries = 3
-	if _, _, err := p.QueryOutage(0, 5, testPower, starved); !errors.Is(err, fault.ErrRetryBudget) {
+	if _, _, err := static(t, p).Query(0, 5, testPower, starved); !errors.Is(err, fault.ErrRetryBudget) {
 		t.Fatalf("starved budget: err %v, want ErrRetryBudget", err)
 	}
 }
@@ -188,11 +191,11 @@ func TestQueryOutageFailsOverToReplannedEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc := OutageConfig{Outages: outs}
+	oc := Faults{Outages: outs, DeadAir: DefaultDeadAir}
 
 	// Arrive well after the swap: probe channel 1 (dark), fail over once,
 	// then run entirely on channel 2.
-	m, found, err := tl.QueryOutage(swap+L, 5, testPower, oc)
+	m, found, err := tl.Query(swap+L, 5, testPower, oc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,44 +207,37 @@ func TestQueryOutageFailsOverToReplannedEpoch(t *testing.T) {
 	// complete — early arrivals descend epoch 1 before slot L, later ones
 	// pay retries/failovers and land on epoch 2.
 	for a := 0; a < L; a++ {
-		if _, _, err := tl.QueryOutage(a, 5, testPower, oc); err != nil {
+		if _, _, err := tl.Query(a, 5, testPower, oc); err != nil {
 			t.Fatalf("arrival %d: %v", a, err)
 		}
 	}
 }
 
-// TestEvaluateOutageNoOutagesMatchesAdaptive: with an empty schedule and
-// failover disabled the outage evaluator reproduces EvaluateAdaptive
-// exactly, with availability 1.
+// TestEvaluateOutageNoOutagesMatchesAdaptive: over one cycle of a
+// single-epoch timeline with demand equal to the tree weights, the
+// timeline evaluator reproduces the static Formula-1 evaluator under the
+// same lossy model, with availability and hit rate 1.
 func TestEvaluateOutageNoOutagesMatchesAdaptive(t *testing.T) {
 	p := keyedProgram(t, 12, 2, 17)
-	tl, err := NewTimeline(p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var demand []Demand
-	tr := p.Tree()
-	for _, d := range tr.DataIDs() {
-		k, _ := tr.Key(d)
-		demand = append(demand, Demand{Key: k, Weight: tr.Weight(d)})
-	}
-	fc := FaultConfig{Model: fault.Model{Seed: 5, Drop: 0.05}}
-	oc := OutageConfig{Model: fc.Model, DeadAir: -1}
+	fc := Faults{Model: fault.Model{Seed: 5, Drop: 0.05}, DeadAir: DefaultDeadAir, MaxRetries: 64}
 	L := p.CycleLen()
 
-	want, wantHits, err := EvaluateAdaptive(tl, 0, L, demand, testPower, fc)
+	want, err := Evaluate(p, testPower, fc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EvaluateOutageAdaptive(tl, 0, L, demand, testPower, oc)
+	got, err := EvaluateTimeline(static(t, p), 0, L, treeDemand(p), testPower, fc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Availability != 1 {
 		t.Fatalf("availability %v, want 1", got.Availability)
 	}
-	if math.Abs(got.HitRate-wantHits) > 1e-9 {
-		t.Fatalf("hit rate %v, want %v", got.HitRate, wantHits)
+	if math.Abs(got.HitRate-1) > 1e-9 {
+		t.Fatalf("hit rate %v, want 1", got.HitRate)
+	}
+	if want.Retries == 0 {
+		t.Fatal("lossy model cost no retries; the pin is vacuous")
 	}
 	if math.Abs(got.Summary.AccessTime-want.AccessTime) > 1e-9 ||
 		math.Abs(got.Summary.TuningTime-want.TuningTime) > 1e-9 ||
@@ -256,11 +252,12 @@ func TestEvaluateOutageNoOutagesMatchesAdaptive(t *testing.T) {
 func TestEvaluateOutageAvailability(t *testing.T) {
 	p := keyedProgram(t, 12, 2, 19)
 	L := p.CycleLen()
-	oc := OutageConfig{
+	oc := Faults{
 		Outages:    fault.Outages{{Channel: 1, StartSlot: 0, EndSlot: 40 * L}},
 		MaxRetries: 6,
+		DeadAir:    DefaultDeadAir,
 	}
-	r, err := EvaluateOutage(p, 0, L, testPower, oc)
+	r, err := EvaluateTimeline(static(t, p), 0, L, treeDemand(p), testPower, oc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +265,7 @@ func TestEvaluateOutageAvailability(t *testing.T) {
 		t.Fatalf("availability %v, want < 1 under a 40-cycle root outage", r.Availability)
 	}
 
-	clear, err := EvaluateOutage(p, 41*L, 42*L, testPower, oc)
+	clear, err := EvaluateTimeline(static(t, p), 41*L, 42*L, treeDemand(p), testPower, oc)
 	if err != nil {
 		t.Fatal(err)
 	}

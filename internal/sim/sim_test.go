@@ -114,7 +114,7 @@ func TestEvaluateMatchesFormula1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Evaluate(p, testPower)
+	s, err := Evaluate(p, testPower, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +173,11 @@ func TestRootCopiesCutProbeWait(t *testing.T) {
 	if copies == 0 {
 		t.Fatalf("no root copies inserted; allocation:\n%s", res.Alloc)
 	}
-	sp, err := Evaluate(plain, testPower)
+	sp, err := Evaluate(plain, testPower, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := Evaluate(replicated, testPower)
+	sr, err := Evaluate(replicated, testPower, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestQuickSimulatorAgreesWithAnalytic(t *testing.T) {
 				}
 			}
 			if !withCopies {
-				s, err := Evaluate(p, testPower)
+				s, err := Evaluate(p, testPower, Faults{})
 				if err != nil {
 					return false
 				}
@@ -375,6 +375,27 @@ func TestQuickRootCopiesSound(t *testing.T) {
 	}
 }
 
+// TestStaticQueriesDoNotAllocate pins the static point lookups at zero
+// allocations: the station answers every demanded key through QueryKey
+// on its timed path, and the analytic walk must stay off the heap.
+func TestStaticQueriesDoNotAllocate(t *testing.T) {
+	p := keyedProgramOpt(t, 64, 4, 3, 0, Options{FillWithRootCopies: true})
+	ids := p.Tree().DataIDs()
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		i++
+		if _, err := p.Query(i%p.CycleLen(), ids[i%len(ids)], testPower); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := p.QueryKey(i%p.CycleLen(), int64(i%70), testPower); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("static point lookups allocate %v times per run, want 0", allocs)
+	}
+}
+
 func BenchmarkQuery(b *testing.B) {
 	res, err := topo.Exact(tree.Fig1(), 2)
 	if err != nil {
@@ -408,7 +429,7 @@ func BenchmarkEvaluate(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Evaluate(p, testPower); err != nil {
+		if _, err := Evaluate(p, testPower, Faults{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -433,7 +454,7 @@ func TestEvaluatePerItemConsistent(t *testing.T) {
 	if len(items) != p.Tree().NumData() {
 		t.Fatalf("items = %d", len(items))
 	}
-	agg, err := Evaluate(p, testPower)
+	agg, err := Evaluate(p, testPower, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
