@@ -844,9 +844,10 @@ type Client struct {
 	// DeadAir arms channel failover: after DeadAir consecutive unusable
 	// reads on one channel during a Lookup the client declares the
 	// channel dead and re-tunes its descent to the believed root channel
-	// instead of retrying forever. 0 disables failover (the pre-outage
-	// behavior); set it to sim.DefaultDeadAir to match the analytic
-	// twin's OutageConfig default. Range scans never fail over.
+	// instead of retrying forever. ≤ 0 disables failover (the pre-outage
+	// behavior); sim.DefaultDeadAir is the customary threshold. The
+	// analytic twin's sim.Faults.DeadAir uses the same encoding. Range
+	// scans never fail over.
 	DeadAir int
 	// Channels is the tower's channel count, which the failover protocol
 	// needs to advance its root belief past a dead channel. Required when
@@ -1052,9 +1053,10 @@ func (c *Client) read(channel, slot int, m *sim.Metrics) (int, *wire.Bucket, err
 // consecutive unusable reads of this one logical bucket fetch, and once
 // they reach DeadAir it reports dead == true with the slot of the last
 // failed read instead of re-tuning again, so the caller can fail over.
-// With DeadAir 0 it is exactly read. This mirrors the analytic
-// Timeline.readOutage operation for operation, which is what keeps the
-// tower and the twin byte-identical under identical outage schedules.
+// With DeadAir ≤ 0 it is exactly read. This mirrors the analytic
+// client's one read step operation for operation, which is what keeps
+// the tower and the twin byte-identical under identical outage
+// schedules.
 func (c *Client) readOutage(channel, slot int, m *sim.Metrics) (int, *wire.Bucket, bool, error) {
 	run := 0
 	for {
@@ -1152,14 +1154,14 @@ func (c *Client) restart(m *sim.Metrics, channel, slot int) error {
 // refreshed from the RootChannel stamp of every bucket it reads, and
 // advanced round-robin past the dead channel when the believed root
 // itself is what died. This is byte-for-byte the analytic simulator's
-// Timeline.QueryOutage protocol.
+// Timeline.Query protocol.
 //
 // With Redial armed the session also survives station crashes: a
 // transport failure while a wake-up is outstanding triggers the seeded
 // backoff reconnect loop (Metrics.Reconnects, sharing the retry budget),
 // and the lookup re-probes from the reconnect slot against the
-// warm-restarted tower — the protocol the analytic twin models as
-// Timeline.QueryRestart.
+// warm-restarted tower — the protocol the analytic twin models with a
+// sim.Faults downtime schedule.
 //
 // A lookup is one session: it detaches from the broadcast when it
 // finishes so the server never waits on an idle radio. Run further
