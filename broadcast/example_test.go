@@ -2,8 +2,10 @@ package broadcast_test
 
 import (
 	"fmt"
+	"testing"
 
 	"repro/broadcast"
+	"repro/internal/alphatree"
 )
 
 // ExampleOptimize builds the paper's Fig. 1(a) example tree and finds the
@@ -59,7 +61,31 @@ func ExampleNewCatalogTree() {
 	}
 	fmt.Printf("found=%v wait=%d slots tuning=%d buckets\n", found, m.DataWait, m.TuningTime)
 	// Output:
-	// found=true wait=5 slots tuning=3 buckets
+	// found=true wait=6 slots tuning=4 buckets
+}
+
+// TestExampleNewCatalogTreeOptimal backs ExampleNewCatalogTree: its
+// weights admit two alphabetic trees of cost 200, and whichever one the
+// tree build picks must cost what the interval DP finds.
+func TestExampleNewCatalogTreeOptimal(t *testing.T) {
+	items := []broadcast.Item{
+		{Label: "ants", Key: 1, Weight: 40},
+		{Label: "bees", Key: 2, Weight: 10},
+		{Label: "cats", Key: 3, Weight: 30},
+		{Label: "dogs", Key: 4, Weight: 20},
+	}
+	tree, err := broadcast.NewCatalogTree(items, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := alphatree.OptimalAlphabetic(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := alphatree.WeightedPathLength(tree), alphatree.WeightedPathLength(opt)
+	if got != want || got != 200 {
+		t.Fatalf("catalog tree cost %g, DP optimum %g, want both 200", got, want)
+	}
 }
 
 // ExampleSchedule_QueryRange retrieves all items in a key range.
