@@ -120,15 +120,26 @@ func (a *Allocation) Validate() error {
 }
 
 // Levels returns the allocation as compound levels: Levels()[s-1] holds the
-// IDs broadcast at slot s, ordered by channel.
+// IDs broadcast at slot s, ordered by channel. Each level is its own slice:
+// appending to one never overwrites another.
 func (a *Allocation) Levels() [][]tree.ID {
+	grid := make([]tree.ID, a.numSlots*a.k)
+	for i := range grid {
+		grid[i] = tree.None
+	}
+	for id, p := range a.pos {
+		grid[(p.Slot-1)*a.k+p.Channel-1] = tree.ID(id)
+	}
+	ids := make([]tree.ID, 0, len(a.pos))
 	out := make([][]tree.ID, a.numSlots)
-	for slot := 1; slot <= a.numSlots; slot++ {
-		for ch := 1; ch <= a.k; ch++ {
-			if id := a.At(ch, slot); id != tree.None {
-				out[slot-1] = append(out[slot-1], id)
+	for s := range out {
+		start := len(ids)
+		for _, id := range grid[s*a.k : (s+1)*a.k] {
+			if id != tree.None {
+				ids = append(ids, id)
 			}
 		}
+		out[s] = ids[start:len(ids):len(ids)]
 	}
 	return out
 }

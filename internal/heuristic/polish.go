@@ -109,7 +109,12 @@ func Polish(a *alloc.Allocation) (*alloc.Allocation, bool, error) {
 			// Lemma 2: put the heavier compound first.
 			if slotWeight(b) > slotWeight(a) {
 				levels[s], levels[s+1] = b, a
-				rebuildSlots()
+				for _, id := range b {
+					slotOf[id] = s + 1
+				}
+				for _, id := range a {
+					slotOf[id] = s + 2
+				}
 				improved = true
 			}
 		}

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"repro/internal/alloc"
+	"repro/internal/pqueue"
 	"repro/internal/tree"
 )
 
@@ -148,14 +149,13 @@ func AllocateSorted(t *tree.Tree, k int) (*alloc.Allocation, error) {
 	slotOf := make([]int, t.NumNodes())
 	var levels [][]tree.ID
 	emit := func(list []tree.ID) (slot []tree.ID, leftover []tree.ID) {
-		inSlot := map[tree.ID]bool{}
+		cur := len(levels) + 1
 		for _, id := range list {
 			p := t.Parent(id)
 			// Defer nodes whose parent is unplaced or in this very slot.
-			if len(slot) < k && (p == tree.None || (slotOf[p] > 0 && !inSlot[p])) {
+			if len(slot) < k && (p == tree.None || (slotOf[p] > 0 && slotOf[p] != cur)) {
 				slot = append(slot, id)
-				inSlot[id] = true
-				slotOf[id] = len(levels) + 1
+				slotOf[id] = cur
 				continue
 			}
 			leftover = append(leftover, id)
@@ -176,15 +176,38 @@ func AllocateSorted(t *tree.Tree, k int) (*alloc.Allocation, error) {
 			lists[level+1] = mergeBySeq(seqOf, lists[level+1], leftover)
 		}
 	}
-	// DumpList: keep packing the residue k per slot until exhausted.
+
+	// DumpList: keep packing the residue k per slot until exhausted. Each
+	// slot takes the first k residue nodes in sequence order whose parent
+	// sits in an earlier slot. Those are the k smallest sequence numbers
+	// among the ready nodes, so a min-heap of ready nodes replaces the
+	// rescan of the whole residue. Every child of a residue node is in the
+	// residue, so a node's children become ready once its slot closes.
 	rest := lists[t.Depth()+1]
-	for len(rest) > 0 {
-		slot, leftover := emit(rest)
-		if len(slot) == 0 {
-			return nil, fmt.Errorf("heuristic: 1_To_k could not place %d nodes", len(rest))
+	ready := pqueue.New(func(a, b tree.ID) bool { return seqOf[a] < seqOf[b] })
+	for _, id := range rest {
+		if slotOf[t.Parent(id)] > 0 {
+			ready.Push(id)
+		}
+	}
+	for placed := 0; placed < len(rest); {
+		if ready.Len() == 0 {
+			return nil, fmt.Errorf("heuristic: 1_To_k could not place %d nodes", len(rest)-placed)
+		}
+		cur := len(levels) + 1
+		slot := make([]tree.ID, 0, k)
+		for len(slot) < k && ready.Len() > 0 {
+			id := ready.Pop()
+			slotOf[id] = cur
+			slot = append(slot, id)
+		}
+		for _, id := range slot {
+			for _, c := range t.Children(id) {
+				ready.Push(c)
+			}
 		}
 		levels = append(levels, slot)
-		rest = leftover
+		placed += len(slot)
 	}
 	return alloc.FromLevels(t, k, levels)
 }

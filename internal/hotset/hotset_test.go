@@ -1,6 +1,9 @@
 package hotset
 
 import (
+	"math"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -229,6 +232,94 @@ func TestQuickSelectMatchesTrueTopN(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: Select's top-n selection equals a full sort of every counter
+// by (weight descending, key ascending), cut to n, on tie-heavy counters.
+func TestQuickSelectMatchesFullSort(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := stats.NewRNG(seed)
+		e := mustNew(t, Config{Decay: 0.4})
+		universe := 1 + rng.Intn(3000)
+		for i := 2 * universe; i > 0; i-- {
+			e.Record(int64(rng.Intn(universe)))
+			if rng.Intn(universe) == 0 {
+				e.Tick()
+			}
+		}
+		var all []HotKey
+		for k := int64(0); k < int64(universe); k++ {
+			if v := e.Estimate(k); v > 0 {
+				all = append(all, HotKey{Key: k, Weight: v})
+			}
+		}
+		sort.Slice(all, func(i, j int) bool {
+			if all[i].Weight != all[j].Weight {
+				return all[i].Weight > all[j].Weight
+			}
+			return all[i].Key < all[j].Key
+		})
+		for _, n := range []int{1, 1 + rng.Intn(universe), universe, universe + 1} {
+			want := all
+			if len(want) > n {
+				want = want[:n]
+			}
+			if hot, _ := e.Select(n); !reflect.DeepEqual(hot, want) {
+				t.Logf("seed=%d universe=%d n=%d: selection differs from the full sort", seed, universe, n)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSelectCoverageReproducible feeds one record sequence to several
+// estimators and requires bit-identical selections and coverage from each
+// of them on every call, so identical station runs report identical
+// coverage. Thousands of decayed counters make the total's rounding
+// depend on the order they are summed in.
+func TestSelectCoverageReproducible(t *testing.T) {
+	rng := stats.NewRNG(7)
+	var periods [5][]int64
+	for p := range periods {
+		periods[p] = make([]int64, 20000)
+		for i := range periods[p] {
+			// A skewed demand over a 20k-key universe.
+			periods[p][i] = int64(rng.ExpFloat64()*2000) % 20000
+		}
+	}
+	var wantHot []HotKey
+	var wantBits uint64
+	for run := 0; run < 8; run++ {
+		e, err := New(Config{Decay: 0.4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, recs := range periods {
+			for _, k := range recs {
+				e.Record(k)
+			}
+			e.Tick()
+		}
+		for call := 0; call < 3; call++ {
+			hot, coverage := e.Select(1000)
+			bits := math.Float64bits(coverage)
+			if run == 0 && call == 0 {
+				wantHot, wantBits = hot, bits
+				continue
+			}
+			if bits != wantBits {
+				t.Fatalf("run %d call %d: coverage %v (bits %#x), first run %v (bits %#x)",
+					run, call, coverage, bits, math.Float64frombits(wantBits), wantBits)
+			}
+			if !reflect.DeepEqual(hot, wantHot) {
+				t.Fatalf("run %d call %d: selection differs from the first run's", run, call)
+			}
+		}
 	}
 }
 
