@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh — the tier-1+ gate: everything a change must pass before merge.
 #
+#   gofmt       gofmt -l on every tracked .go file (fails when any is listed)
 #   build       go build ./...
 #   vet         go vet ./...
 #   bcast-vet   go run ./cmd/bcast-vet ./...   (repo-specific invariants;
@@ -36,6 +37,14 @@ else
     echo "check.sh: set PR (e.g. PR=6 scripts/check.sh) or pass an explicit bench-json path;" >&2
     echo "          refusing to guess which BENCH_pr*.json to overwrite" >&2
     exit 2
+fi
+
+echo "== gofmt =="
+unformatted=$(git ls-files -z '*.go' | xargs -0 gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
 fi
 
 echo "== build =="
