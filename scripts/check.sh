@@ -3,6 +3,8 @@
 #
 #   gofmt       gofmt -l on every tracked .go file (fails when any is listed)
 #   build       go build ./...
+#   e2ebench    go vet in the nested e2ebench module (the benchmark calls
+#               netcast and sim; neither build nor test above compiles it)
 #   vet         go vet ./...
 #   bcast-vet   go run ./cmd/bcast-vet ./...   (repo-specific invariants;
 #               writes bcast-vet.json and enforces a 30s-per-package
@@ -49,6 +51,9 @@ fi
 
 echo "== build =="
 go build ./...
+
+echo "== e2ebench =="
+(cd e2ebench && go vet ./...)
 
 echo "== vet =="
 go vet ./...
