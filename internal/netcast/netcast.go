@@ -17,6 +17,15 @@
 // sockets deterministic and lets the tests assert byte-identical metrics
 // against the analytic simulator.
 //
+// The client holds no protocol of its own: Client.Lookup, LookupRange
+// and ReadBatch run the one client protocol of package sim (sim.Tuner)
+// over the connection as a sim.Medium — one request and one frame per
+// wake-up, an empty or CRC-failing frame heard as a lost slot, and, with
+// Client.Redial armed, a transport failure heard as a dropped
+// connection. The analytic simulator runs the same walk, range scan and
+// batch executor over its Timeline, so tower and twin agree by
+// construction and the twin tests check only the two media.
+//
 // The medium may be imperfect: ServerOptions.Faults injects the seeded
 // lossy-channel model (frame loss, bit corruption, delivery stalls) at
 // the wire level, and the client recovers by re-tuning to the same cycle
@@ -42,7 +51,6 @@ package netcast
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -830,472 +838,4 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	s.wg.Wait()
 	return nil
-}
-
-// Client performs lookups against a netcast server.
-type Client struct {
-	conn net.Conn
-	br   *bufio.Reader
-	// MaxRetries bounds redundant wake-ups per lookup session on a lossy
-	// broadcast (0 = sim.DefaultMaxRetries). Retries, epoch restarts and
-	// channel failovers all draw from this one budget; when it runs out
-	// the lookup fails with an error wrapping fault.ErrRetryBudget.
-	MaxRetries int
-	// DeadAir arms channel failover: after DeadAir consecutive unusable
-	// reads on one channel during a Lookup the client declares the
-	// channel dead and re-tunes its descent to the believed root channel
-	// instead of retrying forever. ≤ 0 disables failover (the pre-outage
-	// behavior); sim.DefaultDeadAir is the customary threshold. The
-	// analytic twin's sim.Faults.DeadAir uses the same encoding. Range
-	// scans never fail over.
-	DeadAir int
-	// Channels is the tower's channel count, which the failover protocol
-	// needs to advance its root belief past a dead channel. Required when
-	// DeadAir > 0.
-	Channels int
-	// Redial, when non-nil, arms crash reconnection: a transport failure
-	// mid-session (the station process died under the socket) no longer
-	// aborts the lookup — the client re-dials under the seeded Backoff
-	// schedule, each attempt charging one Reconnect against the shared
-	// retry budget, and resumes the protocol on the fresh connection.
-	// Redial is called with the absolute slot the client will listen from
-	// after this attempt; it returns a fresh connection, or an error when
-	// the station is still down at that slot.
-	Redial func(slot int) (net.Conn, error)
-	// Backoff is the deterministic jittered backoff schedule spacing
-	// reconnect attempts, in slots. The zero value uses the fault package
-	// defaults; the seed makes the reconnect slot sequence — and hence
-	// the resumed session's metrics — reproducible, which is what lets
-	// the analytic twin model a crash byte for byte.
-	Backoff fault.Backoff
-
-	om clientObs
-}
-
-// clientObs bundles the client's instrument handles; all nil (no-op)
-// until Instrument attaches a registry.
-type clientObs struct {
-	reg        *obs.Registry
-	lookups    *obs.Counter
-	batches    *obs.Counter
-	reads      *obs.Counter
-	retries    *obs.Counter
-	restarts   *obs.Counter
-	failovers  *obs.Counter
-	reconnects *obs.Counter
-	exhausted  *obs.Counter
-}
-
-// Instrument attaches an observability registry to the client: lookup
-// and batch sessions, frame reads, retries, restarts, channel failovers,
-// crash reconnects and budget exhaustions are counted, and
-// batch/retry/restart/failover/reconnect trace events are emitted.
-// Metrics returned to the caller are unaffected.
-func (c *Client) Instrument(r *obs.Registry) {
-	c.om = clientObs{
-		reg:        r,
-		lookups:    r.Counter("client_lookups_total"),
-		batches:    r.Counter("client_batches_total"),
-		reads:      r.Counter("client_reads_total"),
-		retries:    r.Counter("client_retries_total"),
-		restarts:   r.Counter("client_restarts_total"),
-		failovers:  r.Counter("client_failovers_total"),
-		reconnects: r.Counter("client_reconnects_total"),
-		exhausted:  r.Counter("client_budget_exhausted_total"),
-	}
-}
-
-// NewClient wraps an established connection.
-func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, br: bufio.NewReader(conn)}
-}
-
-// Dial connects to a TCP netcast server.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewClient(conn), nil
-}
-
-// Close detaches from the server and closes the connection.
-func (c *Client) Close() error {
-	c.detach()
-	return c.conn.Close()
-}
-
-// detach tells the server to stop waiting for this radio; errors are
-// irrelevant (the connection may already be gone).
-func (c *Client) detach() {
-	_ = c.request(detachChannel, 0)
-}
-
-func (c *Client) request(channel, slot int) error {
-	req := appendRequest(make([]byte, 0, requestSize), channel, slot)
-	_, err := c.conn.Write(req)
-	return err
-}
-
-func (c *Client) budget() int {
-	if c.MaxRetries <= 0 {
-		return sim.DefaultMaxRetries
-	}
-	return c.MaxRetries
-}
-
-// droppedError marks a transport failure observed while a request for an
-// absolute slot was outstanding: the station died under the socket. The
-// slot is the one the client had asked for — the base the reconnect
-// backoff schedule counts from, on both sides of the wire.
-type droppedError struct {
-	at  int
-	err error
-}
-
-func (d *droppedError) Error() string {
-	return fmt.Sprintf("netcast: connection dropped awaiting slot %d: %v", d.at, d.err)
-}
-
-func (d *droppedError) Unwrap() error { return d.err }
-
-// dropped wraps a transport error with the outstanding slot when the
-// reconnect protocol is armed; without Redial the raw error propagates
-// and the session fails exactly as before.
-func (c *Client) dropped(slot int, err error) error {
-	if c.Redial == nil {
-		return err
-	}
-	return &droppedError{at: slot, err: err}
-}
-
-// reconnect runs the crash-reconnect loop from the dropped slot: each
-// attempt charges one Reconnect against the shared retry budget, advances
-// the listen slot by the seeded jittered backoff, and re-dials. It
-// returns the absolute slot the fresh connection listens from. The slot
-// walk is a pure function of (Backoff.Seed, base), which is what the
-// analytic twin replays.
-func (c *Client) reconnect(m *sim.Metrics, base int) (int, error) {
-	w := base
-	for attempt := 1; ; attempt++ {
-		m.Reconnects++
-		c.om.reconnects.Inc()
-		c.om.reg.Emit("reconnect", obs.A("slot", int64(w)), obs.A("attempt", int64(attempt)))
-		if m.Retries+m.Restarts+m.Failovers+m.Reconnects > c.budget() {
-			c.om.exhausted.Inc()
-			return 0, fmt.Errorf("netcast: slot %d: %w after %d reconnect attempts",
-				base, fault.ErrRetryBudget, m.Reconnects-1)
-		}
-		w += c.Backoff.Delay(attempt)
-		conn, err := c.Redial(w)
-		if err != nil {
-			continue // station still down at w: back off further
-		}
-		c.conn.Close()
-		c.conn = conn
-		c.br = bufio.NewReader(conn)
-		return w, nil
-	}
-}
-
-// tryReconnect recognizes a dropped-connection error and runs the
-// reconnect loop. handled reports whether err was a drop at all; when it
-// was, the caller resumes its protocol from slot w (rerr nil) or fails
-// the session (rerr set, the budget ran out).
-func (c *Client) tryReconnect(m *sim.Metrics, err error) (w int, rerr error, handled bool) {
-	var d *droppedError
-	if c.Redial == nil || !errors.As(err, &d) {
-		return 0, nil, false
-	}
-	w, rerr = c.reconnect(m, d.at)
-	return w, rerr, true
-}
-
-// read requests one bucket and blocks for its frame, recovering from
-// lost or corrupt deliveries: an empty (lost-slot) frame or a payload
-// failing its CRC burns the wake-up and the client re-tunes to the same
-// cycle slot one broadcast cycle later — re-requesting the slot it just
-// heard garbage on; the server's cyclic catch-up serves the next
-// occurrence. This is the exact recovery protocol the analytic simulator
-// models, so metrics stay byte-identical under the same fault seed.
-func (c *Client) read(channel, slot int, m *sim.Metrics) (int, *wire.Bucket, error) {
-	for {
-		if err := c.request(channel, slot); err != nil {
-			return 0, nil, c.dropped(slot, err)
-		}
-		gotSlot, payload, err := readFrame(c.br)
-		if err != nil {
-			// Transport failure: with Redial armed this is a station crash
-			// the caller recovers from; otherwise it ends the session.
-			return 0, nil, c.dropped(slot, err)
-		}
-		m.TuningTime++
-		c.om.reads.Inc()
-		if len(payload) != 0 {
-			b, derr := wire.Unmarshal(payload)
-			if derr == nil {
-				return gotSlot, b, nil
-			}
-		}
-		m.Retries++
-		c.om.retries.Inc()
-		c.om.reg.Emit("retry", obs.A("channel", int64(channel)), obs.A("slot", int64(gotSlot)))
-		if m.Retries+m.Restarts+m.Failovers+m.Reconnects > c.budget() {
-			c.om.exhausted.Inc()
-			return 0, nil, fmt.Errorf("netcast: channel %d slot %d: %w after %d redundant wake-ups",
-				channel, gotSlot, fault.ErrRetryBudget, m.Retries-1)
-		}
-		slot = gotSlot
-	}
-}
-
-// readOutage is read with the dead-air detector armed: it counts the
-// consecutive unusable reads of this one logical bucket fetch, and once
-// they reach DeadAir it reports dead == true with the slot of the last
-// failed read instead of re-tuning again, so the caller can fail over.
-// With DeadAir ≤ 0 it is exactly read. This mirrors the analytic
-// client's one read step operation for operation, which is what keeps
-// the tower and the twin byte-identical under identical outage
-// schedules.
-func (c *Client) readOutage(channel, slot int, m *sim.Metrics) (int, *wire.Bucket, bool, error) {
-	run := 0
-	for {
-		if err := c.request(channel, slot); err != nil {
-			return 0, nil, false, c.dropped(slot, err)
-		}
-		gotSlot, payload, err := readFrame(c.br)
-		if err != nil {
-			// Transport failure: with Redial armed this is a station crash
-			// the caller recovers from; otherwise it ends the session.
-			return 0, nil, false, c.dropped(slot, err)
-		}
-		m.TuningTime++
-		c.om.reads.Inc()
-		if len(payload) != 0 {
-			b, derr := wire.Unmarshal(payload)
-			if derr == nil {
-				return gotSlot, b, false, nil
-			}
-		}
-		m.Retries++
-		c.om.retries.Inc()
-		c.om.reg.Emit("retry", obs.A("channel", int64(channel)), obs.A("slot", int64(gotSlot)))
-		if m.Retries+m.Restarts+m.Failovers+m.Reconnects > c.budget() {
-			c.om.exhausted.Inc()
-			return 0, nil, false, fmt.Errorf("netcast: channel %d slot %d: %w after %d redundant wake-ups",
-				channel, gotSlot, fault.ErrRetryBudget, m.Retries-1)
-		}
-		run++
-		if c.DeadAir > 0 && run >= c.DeadAir {
-			return gotSlot, nil, true, nil
-		}
-		slot = gotSlot
-	}
-}
-
-// failover charges one channel failover against the shared retry budget,
-// mirroring the analytic simulator's accounting.
-func (c *Client) failover(m *sim.Metrics, channel, slot int) error {
-	m.Failovers++
-	c.om.failovers.Inc()
-	c.om.reg.Emit("failover", obs.A("channel", int64(channel)), obs.A("slot", int64(slot)))
-	if m.Retries+m.Restarts+m.Failovers+m.Reconnects > c.budget() {
-		c.om.exhausted.Inc()
-		return fmt.Errorf("netcast: channel %d slot %d: %w after %d channel failovers",
-			channel, slot, fault.ErrRetryBudget, m.Failovers-1)
-	}
-	return nil
-}
-
-// rootBelief reads the root-channel stamp off a bucket; v2/v3 frames are
-// unstamped (0), which clients interpret as the channel-1 default.
-func rootBelief(b *wire.Bucket) int {
-	if b.RootChannel == 0 {
-		return 1
-	}
-	return int(b.RootChannel)
-}
-
-// restart charges one epoch-swap descent restart against the shared
-// retry budget, mirroring the analytic simulator's accounting.
-func (c *Client) restart(m *sim.Metrics, channel, slot int) error {
-	m.Restarts++
-	c.om.restarts.Inc()
-	c.om.reg.Emit("restart", obs.A("channel", int64(channel)), obs.A("slot", int64(slot)))
-	if m.Retries+m.Restarts+m.Failovers+m.Reconnects > c.budget() {
-		c.om.exhausted.Inc()
-		return fmt.Errorf("netcast: channel %d slot %d: %w after %d descent restarts",
-			channel, slot, fault.ErrRetryBudget, m.Restarts-1)
-	}
-	return nil
-}
-
-// Lookup retrieves the item with the given key, arriving at the given
-// absolute slot. It implements the same protocol as the simulator's
-// client — probe the believed root channel, synchronize or start from a
-// root copy, then descend by advertised key ranges — and returns
-// identical metrics, including the lossy-channel recovery accounting
-// (Metrics.Retries).
-//
-// On an adaptive broadcast the descent tracks the epoch stamp of the
-// bucket it started from: a bucket from a newer epoch means the cached
-// pointers are stale (the program was hot-swapped mid-traversal), so the
-// client charges a restart against the retry budget and probes again
-// from the next slot (Metrics.Restarts). A sync jump always lands on a
-// cycle start, which always holds a root — the outgoing epoch's or the
-// new one's — so epoch changes observed at sync are adopted silently.
-// On a static broadcast every stamp is equal and the restart path is
-// never taken.
-//
-// With DeadAir > 0 channel failover is armed: a channel that serves
-// DeadAir consecutive unusable slots is declared dead, the client charges
-// one failover against the shared budget (Metrics.Failovers), and
-// re-probes on its current belief of the root channel — initially 1,
-// refreshed from the RootChannel stamp of every bucket it reads, and
-// advanced round-robin past the dead channel when the believed root
-// itself is what died. This is byte-for-byte the analytic simulator's
-// Timeline.Query protocol.
-//
-// With Redial armed the session also survives station crashes: a
-// transport failure while a wake-up is outstanding triggers the seeded
-// backoff reconnect loop (Metrics.Reconnects, sharing the retry budget),
-// and the lookup re-probes from the reconnect slot against the
-// warm-restarted tower — the protocol the analytic twin models with a
-// sim.Faults downtime schedule.
-//
-// A lookup is one session: it detaches from the broadcast when it
-// finishes so the server never waits on an idle radio. Run further
-// lookups over fresh connections.
-func (c *Client) Lookup(arrival int, key int64, pw sim.Power) (found bool, label string, m sim.Metrics, err error) {
-	defer c.detach()
-	if c.DeadAir > 0 && c.Channels < 1 {
-		return false, "", m, fmt.Errorf("netcast: DeadAir %d requires Channels to be set", c.DeadAir)
-	}
-	c.om.lookups.Inc()
-	c.om.reg.Emit("tune", obs.A("arrival", int64(arrival)), obs.A("key", key))
-	rootCh := 1
-	probeAt := arrival
-probe:
-	for {
-		// Probe the believed root channel and synchronize on a root bucket.
-		slot, b, dead, err := c.readOutage(rootCh, probeAt, &m)
-		if err != nil {
-			if w, rerr, ok := c.tryReconnect(&m, err); ok {
-				if rerr != nil {
-					return false, "", m, rerr
-				}
-				probeAt = w
-				continue probe
-			}
-			return false, "", m, err
-		}
-		if dead {
-			if err := c.failover(&m, rootCh, slot); err != nil {
-				return false, "", m, err
-			}
-			rootCh = rootCh%c.Channels + 1
-			probeAt = slot + 1
-			continue
-		}
-		rootCh = rootBelief(b)
-		for redirects := 0; !b.RootCopy; redirects++ {
-			if redirects >= sim.MaxProbeRedirects {
-				return false, "", m, fmt.Errorf("netcast: %w after %d redirects", sim.ErrMissingRoot, redirects)
-			}
-			step := int(b.NextCycle)
-			if step <= 0 {
-				step = 1
-			}
-			if slot, b, dead, err = c.readOutage(rootCh, slot+step, &m); err != nil {
-				if w, rerr, ok := c.tryReconnect(&m, err); ok {
-					if rerr != nil {
-						return false, "", m, rerr
-					}
-					probeAt = w
-					continue probe
-				}
-				return false, "", m, err
-			}
-			if dead {
-				if err := c.failover(&m, rootCh, slot); err != nil {
-					return false, "", m, err
-				}
-				rootCh = rootCh%c.Channels + 1
-				probeAt = slot + 1
-				continue probe
-			}
-			rootCh = rootBelief(b)
-		}
-		epoch := b.Epoch
-		descentStart := slot
-		m.ProbeWait = descentStart - arrival
-
-		restarted := false
-		for hops := 0; hops < 1<<16; hops++ {
-			// The epoch stamp is checked before the bucket is interpreted:
-			// across a swap this slot may hold anything, and only the
-			// stamp says so.
-			if b.Epoch != epoch {
-				if err := c.restart(&m, rootCh, slot); err != nil {
-					return false, "", m, err
-				}
-				probeAt = slot + 1
-				restarted = true
-				break
-			}
-			if b.Kind == wire.KindData {
-				m.DataWait = slot - descentStart + 1
-				finish(&m, pw)
-				return b.Key == key, b.Label, m, nil
-			}
-			var next *wire.Pointer
-			for i := range b.Pointers {
-				p := &b.Pointers[i]
-				if key >= p.KeyLo && key <= p.KeyHi {
-					next = p
-					break
-				}
-			}
-			if next == nil {
-				m.DataWait = slot - descentStart + 1
-				finish(&m, pw)
-				return false, "", m, nil
-			}
-			if slot, b, dead, err = c.readOutage(int(next.Channel), slot+int(next.Offset), &m); err != nil {
-				if w, rerr, ok := c.tryReconnect(&m, err); ok {
-					if rerr != nil {
-						return false, "", m, rerr
-					}
-					probeAt = w
-					continue probe
-				}
-				return false, "", m, err
-			}
-			if dead {
-				// A pointer target went dark mid-descent. The root belief
-				// only moves when the root channel itself is what died.
-				if err := c.failover(&m, int(next.Channel), slot); err != nil {
-					return false, "", m, err
-				}
-				if int(next.Channel) == rootCh {
-					rootCh = rootCh%c.Channels + 1
-				}
-				probeAt = slot + 1
-				continue probe
-			}
-			rootCh = rootBelief(b)
-		}
-		if !restarted {
-			return false, "", m, fmt.Errorf("netcast: descent did not terminate")
-		}
-	}
-}
-
-func finish(m *sim.Metrics, pw sim.Power) {
-	m.AccessTime = m.ProbeWait + m.DataWait
-	doze := m.AccessTime - m.TuningTime
-	if doze < 0 {
-		doze = 0
-	}
-	m.Energy = pw.Active*float64(m.TuningTime) + pw.Doze*float64(doze)
 }

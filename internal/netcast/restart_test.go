@@ -572,6 +572,8 @@ func TestRangeRestartMatchesTwin(t *testing.T) {
 // whose execution is cut by a kill completes on the warm-restarted
 // tower after reconnecting, every key intact; and the exact same session
 // under a budget one short of its need fails with fault.ErrRetryBudget.
+// At every budget the tower's Metrics equal sim.Program.QueryBatch under
+// the same downtime schedule and backoff.
 func TestBatchReconnect(t *testing.T) {
 	p := compiled(t, 9, 2, 21, false)
 	targets := p.Tree().DataIDs()[1:6]
@@ -595,6 +597,13 @@ func TestBatchReconnect(t *testing.T) {
 			done <- outageOutcome{m: m, err: err}
 		}()
 		out := h.drive(done, 0, nil)
+		want, werr := p.QueryBatch(plan, pw, sim.Faults{Downtimes: down, Backoff: bo, MaxRetries: budget})
+		if out.m != want || (out.err == nil) != (werr == nil) {
+			t.Fatalf("budget %d: net %+v/%v != sim %+v/%v", budget, out.m, out.err, want, werr)
+		}
+		if werr != nil && !errors.Is(werr, fault.ErrRetryBudget) {
+			t.Fatalf("budget %d: sim err %v, want ErrRetryBudget", budget, werr)
+		}
 		return out.m, out.err
 	}
 

@@ -124,11 +124,17 @@ func TestQueryBatchRejectsBadPlans(t *testing.T) {
 	if _, err := p.QueryBatch(nil, testPower, Faults{}); !errors.Is(err, ErrBadPlan) {
 		t.Errorf("nil plan: err = %v, want ErrBadPlan", err)
 	}
-	// Station crashes are outside the batch model: a downtime schedule is
-	// refused rather than ignored.
+	// A station crash is modelled for one radio, the plans the socket
+	// client runs; a multi-antenna plan has no socket twin and refuses a
+	// downtime schedule rather than ignoring it.
 	crash := Faults{Downtimes: fault.Downtimes{{StartSlot: 1, EndSlot: 3}}}
-	if _, err := p.QueryBatch(good, testPower, crash); err == nil {
-		t.Error("batch accepted a downtime schedule it cannot model")
+	if m, err := p.QueryBatch(good, testPower, crash); err != nil || m.Reconnects == 0 {
+		t.Errorf("single-antenna batch across a crash: %+v, %v; want a reconnect and no error", m, err)
+	}
+	two := *good
+	two.Antennas = 2
+	if _, err := p.QueryBatch(&two, testPower, crash); err == nil {
+		t.Error("multi-antenna batch accepted a downtime schedule it cannot model")
 	}
 }
 

@@ -67,6 +67,7 @@ func (p *Program) Remap(phys []int, width int) (*Program, error) {
 		slotOf:   make([]alloc.Position, len(p.slotOf)),
 		rootCh:   phys[0],
 	}
+	q.static = []Entry{{Prog: q}}
 	// Dark channels carry filler buckets that still advertise the cycle
 	// boundary, so a client that tunes into dead air can re-synchronize.
 	for ch := range q.buckets {
@@ -85,7 +86,8 @@ func (p *Program) Remap(phys []int, width int) (*Program, error) {
 					if c.Channel < 1 || c.Channel > p.k {
 						return nil, fmt.Errorf("sim: remap pointer to channel %d outside program width %d", c.Channel, p.k)
 					}
-					children[i] = Pointer{Channel: phys[c.Channel-1], Offset: c.Offset, Target: c.Target}
+					c.Channel = phys[c.Channel-1]
+					children[i] = c
 				}
 				b.Children = children
 			}
